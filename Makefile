@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-alloc lint-fixtures fuzz verify bench-solver bench-svc trace-demo fleet-demo svc-demo
+.PHONY: build test race vet lint lint-alloc lint-fixtures fuzz verify bench-solver bench-svc bench-obs trace-demo fleet-demo svc-demo
 
 build:
 	$(GO) build ./...
@@ -54,17 +54,26 @@ verify:
 	$(GO) run ./cmd/mpclint -alloccheck ./...
 	$(GO) test -race ./...
 
+# The bench-* targets set MPCDASH_WRITE_BENCH=1: only then do the
+# performance tests rewrite the tracked BENCH_*.json files. Plain `go test`
+# asserts the same budgets and writes nothing.
+
 # bench-solver measures the MPC solver hot path (ns/op, allocs/op) and the
 # cold vs warm FastMPC table cache, writes BENCH_solver.json, and fails if
 # the zero-allocation or warm-beats-cold budget is blown.
 bench-solver:
-	$(GO) test -run TestSolverPerformance -count=1 -v .
+	MPCDASH_WRITE_BENCH=1 $(GO) test -run TestSolverPerformance -count=1 -v .
 
 # bench-svc load-tests a self-hosted abrd decision service over loopback,
 # writes BENCH_svc.json (decisions/sec, server-side p99), and fails if the
 # 1 ms lookup-path p99 budget is blown.
 bench-svc:
-	$(GO) test -run TestSvcPerformance -count=1 -v .
+	MPCDASH_WRITE_BENCH=1 $(GO) test -run TestSvcPerformance -count=1 -v .
+
+# bench-obs measures observability overhead against a bare session,
+# writes BENCH_obs.json, and fails if the disabled recorder costs 2% or more.
+bench-obs:
+	MPCDASH_WRITE_BENCH=1 $(GO) test -run TestObsOverheadBudget -count=1 -v .
 
 # trace-demo plays the loopback emulation and writes a Chrome trace-event
 # timeline; open trace_demo.json in chrome://tracing or ui.perfetto.dev.

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"testing"
 
 	"mpcdash/internal/abr"
@@ -379,8 +378,9 @@ func BenchmarkObs_SessionInstrumented(b *testing.B) {
 // ratio of pooled bests — so CPU-load epochs (e.g. other test packages
 // running in parallel) inflate both sides together and cancel; the
 // assertion takes the best paired ratio. The metrics-only and fully
-// traced ratios are reported in BENCH_obs.json but not asserted (they buy
-// metrics and a trace, so they are allowed to cost something).
+// traced ratios are reported in BENCH_obs.json (written under
+// `make bench-obs`) but not asserted (they buy metrics and a trace, so
+// they are allowed to cost something).
 func TestObsOverheadBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing assertion; skipped in -short mode")
@@ -449,7 +449,5 @@ func TestObsOverheadBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile("BENCH_obs.json", append(report, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeBenchReport(t, "BENCH_obs.json", report)
 }

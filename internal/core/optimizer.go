@@ -120,23 +120,35 @@ func (o *Optimizer) PlanScratch(s *Scratch, k int, buffer float64, prev int, for
 	}
 	s.grow(steps, levels)
 
-	// Hoist the per-level quality out of the enumeration: the DFS visits
-	// O(levels^steps) nodes, each of which previously paid two QualityFunc
-	// calls.
+	// Per-solve tables, shared by every search of this solve (one, or the
+	// whole startup Ts grid): the per-level quality, the switching penalty
+	// λ·|q_lvl − q_p| of every level pair, and the download time of every
+	// (depth, level) pair. The DFS visits O(levels^steps) nodes, each of
+	// which would otherwise pay a bounds-checked ChunkSize call, a division
+	// and the quality and penalty arithmetic.
+	lambda := o.Weights.Lambda
 	qMax := math.Inf(-1)
 	for lvl := 0; lvl < levels; lvl++ {
 		s.qual[lvl] = o.Quality(o.Manifest.Ladder[lvl])
 		qMax = math.Max(qMax, s.qual[lvl])
 	}
+	for p := 0; p < levels; p++ {
+		for lvl := 0; lvl < levels; lvl++ {
+			s.pen[p*levels+lvl] = lambda * math.Abs(s.qual[lvl]-s.qual[p])
+		}
+	}
 
 	// Pad or truncate the forecast to exactly steps entries, extending with
 	// the final value and flooring at minRate.
 	last := minRate
-	for i := 0; i < steps; i++ {
-		if i < len(forecast) && forecast[i] > 0 {
-			last = forecast[i]
+	for d := 0; d < steps; d++ {
+		if d < len(forecast) && forecast[d] > 0 {
+			last = forecast[d]
 		}
-		s.rates[i] = math.Max(last, minRate)
+		s.rates[d] = math.Max(last, minRate)
+		for lvl := 0; lvl < levels; lvl++ {
+			s.dl[d*levels+lvl] = o.Manifest.ChunkSize(k+d, lvl) / s.rates[d]
+		}
 	}
 
 	// optimistic[d] bounds the QoE attainable from depth d onward,
@@ -147,7 +159,7 @@ func (o *Optimizer) PlanScratch(s *Scratch, k int, buffer float64, prev int, for
 	}
 
 	if !startup {
-		lvl, q := o.search(s, k, buffer, prev, steps, levels)
+		lvl, q := o.search(s, buffer, prev, steps, levels)
 		return lvl, 0, q
 	}
 
@@ -166,7 +178,7 @@ func (o *Optimizer) PlanScratch(s *Scratch, k int, buffer float64, prev int, for
 	n := int((max + 1e-9) / step)
 	for i := 0; i <= n; i++ {
 		t := float64(i) * step
-		lvl, q := o.search(s, k, t, prev, steps, levels)
+		lvl, q := o.search(s, t, prev, steps, levels)
 		q -= o.Weights.MuS * t
 		// With µ = µs, trading startup delay for first-chunk stall is QoE
 		// neutral; among (near-)ties prefer the larger Ts, i.e. start
@@ -186,17 +198,25 @@ func (o *Optimizer) PlanScratch(s *Scratch, k int, buffer float64, prev int, for
 // stacks — same visit order as the recursive formulation, node for node,
 // without the closure and call-frame allocations.
 //
+// With pruning on, the incumbent starts just below the best constant-level
+// plan (seedIncumbent), so the bound cuts from the first leaf on. The
+// result is unchanged: that plan is a real leaf whose value beats the seed,
+// so the optimum, and the first plan in DFS order that attains it, are the
+// same as with an empty incumbent.
+//
 //mpc:noalloc
-func (o *Optimizer) search(s *Scratch, k int, buffer float64, prev int, steps, levels int) (int, float64) {
-	man := o.Manifest
-	chunkDur := man.ChunkDuration
+func (o *Optimizer) search(s *Scratch, buffer float64, prev int, steps, levels int) (int, float64) {
+	chunkDur := o.Manifest.ChunkDuration
 	bufMax := o.BufferMax
-	mu, lambda := o.Weights.Mu, o.Weights.Lambda
+	mu := o.Weights.Mu
 	prune := !o.DisablePruning
-	rates, qual, optimistic := s.rates, s.qual, s.optimistic
+	qual, pen, dlTab, optimistic := s.qual, s.pen, s.dl, s.optimistic
 	buf, acc, prv, choice, next := s.buf, s.acc, s.prv, s.choice, s.next
 
 	bestFirst, bestQoE := 0, math.Inf(-1)
+	if prune {
+		bestQoE = o.seedIncumbent(s, buffer, prev, steps, levels)
+	}
 	buf[0], acc[0], prv[0] = buffer, 0, prev
 	next[0] = 0
 	d := 0
@@ -221,22 +241,45 @@ func (o *Optimizer) search(s *Scratch, k int, buffer float64, prev int, steps, l
 		}
 		next[d] = lvl + 1
 
-		size := man.ChunkSize(k+d, lvl)
-		dl := size / rates[d]
-		rebuffer := math.Max(dl-buf[d], 0)
-		afterDrain := math.Max(buf[d]-dl, 0) + chunkDur
-		wait := math.Max(afterDrain-bufMax, 0)
-
+		rebuffer, nb, _ := model.Step(buf[d], dlTab[d*levels+lvl], chunkDur, bufMax)
 		gain := qual[lvl] - mu*rebuffer
 		if p := prv[d]; p >= 0 {
-			gain -= lambda * math.Abs(qual[lvl]-qual[p])
+			gain -= pen[p*levels+lvl]
 		}
 		choice[d] = lvl
-		buf[d+1] = afterDrain - wait
+		buf[d+1] = nb
 		acc[d+1] = acc[d] + gain
 		prv[d+1] = lvl
 		next[d+1] = 0
 		d++
 	}
 	return bestFirst, bestQoE
+}
+
+// seedIncumbent scores the levels constant-level plans with the search's
+// own arithmetic and returns a value just below the best of them. The
+// margin, 1e-9·(|v|+1), keeps float rounding in the optimistic bound
+// acc+optimistic[d] from cutting the prefix of a plan whose value equals v.
+//
+//mpc:noalloc
+func (o *Optimizer) seedIncumbent(s *Scratch, buffer float64, prev int, steps, levels int) float64 {
+	chunkDur := o.Manifest.ChunkDuration
+	bufMax := o.BufferMax
+	mu := o.Weights.Mu
+	best := math.Inf(-1)
+	for lvl := 0; lvl < levels; lvl++ {
+		b, acc, p := buffer, 0.0, prev
+		for d := 0; d < steps; d++ {
+			rebuffer, nb, _ := model.Step(b, s.dl[d*levels+lvl], chunkDur, bufMax)
+			gain := s.qual[lvl] - mu*rebuffer
+			if p >= 0 {
+				gain -= s.pen[p*levels+lvl]
+			}
+			b, acc, p = nb, acc+gain, lvl
+		}
+		if total := acc + o.TerminalBufferWeight*b; total > best {
+			best = total
+		}
+	}
+	return best - 1e-9*(math.Abs(best)+1)
 }

@@ -3,9 +3,10 @@ package core
 import "sync"
 
 // Scratch holds the reusable working memory for one Plan solve: the padded
-// horizon forecast, the branch-and-bound optimistic bounds, the per-level
-// quality values hoisted out of the enumeration, and the explicit
-// depth-first traversal stacks that replace the recursive closure. A
+// horizon forecast, the download-time, quality and switching-penalty tables
+// hoisted out of the enumeration, the branch-and-bound optimistic bounds,
+// and the explicit depth-first traversal stacks that replace the recursive
+// closure. A
 // Scratch grows to fit the largest (horizon, ladder) it has seen and is
 // then reused allocation-free; the zero value is ready to use.
 //
@@ -16,8 +17,10 @@ import "sync"
 // Optimizer.PlanScratch directly for a zero-allocation steady state.
 type Scratch struct {
 	rates      []float64 // horizon forecast, padded and floored at minRate
+	dl         []float64 // dl[d*levels+lvl]: ChunkSize(k+d, lvl) / rates[d]
+	pen        []float64 // pen[p*levels+lvl]: λ·|q_lvl − q_p|
+	qual       []float64 // Quality(Ladder[lvl]) per level
 	optimistic []float64 // optimistic[d]: QoE bound attainable from depth d
-	qual       []float64 // Quality(Ladder[lvl]) per level, computed per solve
 
 	// Iterative DFS stacks, indexed by depth d ∈ [0, steps].
 	buf    []float64 // buffer level entering depth d
@@ -31,8 +34,10 @@ type Scratch struct {
 // reusing existing capacity.
 func (s *Scratch) grow(steps, levels int) {
 	s.rates = growFloats(s.rates, steps)
-	s.optimistic = growFloats(s.optimistic, steps+1)
+	s.dl = growFloats(s.dl, steps*levels)
+	s.pen = growFloats(s.pen, levels*levels)
 	s.qual = growFloats(s.qual, levels)
+	s.optimistic = growFloats(s.optimistic, steps+1)
 	s.buf = growFloats(s.buf, steps+1)
 	s.acc = growFloats(s.acc, steps+1)
 	s.prv = growInts(s.prv, steps+1)

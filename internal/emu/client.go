@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"time"
 
@@ -171,10 +170,7 @@ func (c *Client) run(ctx context.Context, bind abr.Factory) (*model.SessionResul
 			res.StartupDelay = dl
 			buffer = dl
 		}
-		rebuffer := math.Max(dl-buffer, 0)
-		afterDrain := math.Max(buffer-dl, 0) + man.ChunkDuration
-		wait := math.Max(afterDrain-c.BufferMax, 0)
-		next := afterDrain - wait
+		rebuffer, next, wait := model.Step(buffer, dl, man.ChunkDuration, c.BufferMax)
 
 		c.Predictor.Observe(throughput)
 		var predicted float64

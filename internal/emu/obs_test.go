@@ -162,6 +162,12 @@ func TestServerInstrumented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The client returns once it holds the last body byte, but the
+	// middleware records a request only after its handler returns: drain
+	// the server so every request is recorded before reading the registry.
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
 
 	if got := reg.Counter(MetricServerRequests, "", "handler", "manifest").Value(); got != 1 {
 		t.Errorf("manifest requests = %d, want 1", got)

@@ -15,8 +15,9 @@ import (
 const noAllocMarker = "mpc:noalloc"
 
 // NoAlloc enforces the //mpc:noalloc contract on the solver/lookup hot
-// paths (core.Optimizer.Plan/PlanScratch/search, the fastmpc bin mappers
-// and table lookups, the abrsvc decide lookup path). Inside an annotated
+// paths (core.Optimizer.Plan/PlanScratch/search/seedIncumbent, the Eq. 3/4
+// buffer step model.Step that search inlines, the fastmpc bin mappers and
+// table lookups, the abrsvc decide lookup path). Inside an annotated
 // function it flags the constructs that force heap allocation or defeat
 // escape analysis:
 //

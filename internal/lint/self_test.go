@@ -81,6 +81,8 @@ func TestNoAllocInventoryCovers(t *testing.T) {
 		"core.(*Optimizer).Plan",
 		"core.(*Optimizer).PlanScratch",
 		"core.(*Optimizer).search",
+		"core.(*Optimizer).seedIncumbent",
+		"model.Step",
 		"fastmpc.(BinSpec).BufferBin",
 		"fastmpc.(BinSpec).RateBin",
 		"fastmpc.clampBin",

@@ -145,7 +145,10 @@ func Run(m *model.Manifest, link *trace.Trace, players []Player, cfg Config) (*R
 				s.remaining -= got
 				deliveredKbits += got
 			}
-			if s.playing && s.phase != phaseDone {
+			// A waiting player's buffer already had the whole Eq. (4)
+			// wait taken off in finishChunk; draining it again here
+			// would play the wait twice.
+			if s.playing && s.phase != phaseDone && s.phase != phaseWaiting {
 				drain := dt
 				if s.buffer < drain {
 					stall := drain - s.buffer

@@ -205,3 +205,26 @@ func TestJain(t *testing.T) {
 		t.Errorf("all-zero Jain = %v, want 1", got)
 	}
 }
+
+// TestSteadyStateChunkPeriod: a lone BB player on a constant 10 Mbps link
+// fills its buffer and then waits Eq. (4)'s Δt after every chunk, so in
+// steady state it requests one 4 s chunk per 4 s of simulated time, as
+// sim.Run does. Draining the buffer during the wait as well made it
+// request one every ~2.6 s.
+func TestSteadyStateChunkPeriod(t *testing.T) {
+	m := model.EnvivioManifest()
+	p := Player{Name: "bb", Controller: abr.NewBB(5, 10)(m), Predictor: predictor.NewHarmonicMean(5)}
+	res, err := Run(m, constLink(t, 10000), []Player{p}, Config{BufferMax: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks := res.Sessions[0].Chunks
+	first, last := chunks[30], chunks[len(chunks)-1]
+	if first.Wait <= 0 {
+		t.Fatalf("chunk 30 waited %v s; the buffer should be full by then", first.Wait)
+	}
+	period := (last.StartTime - first.StartTime) / float64(last.Index-first.Index)
+	if math.Abs(period-m.ChunkDuration) > 0.05 {
+		t.Errorf("steady-state request period = %.3f s, want %.1f s", period, m.ChunkDuration)
+	}
+}

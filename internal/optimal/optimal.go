@@ -150,10 +150,7 @@ func (s *Solver) Solve(tr *trace.Trace) float64 {
 				if math.IsInf(dl, 1) {
 					continue
 				}
-				rebuffer := math.Max(dl-st.buf, 0)
-				afterDrain := math.Max(st.buf-dl, 0) + s.Manifest.ChunkDuration
-				wait := math.Max(afterDrain-s.BufferMax, 0)
-				nb := afterDrain - wait
+				rebuffer, nb, wait := model.Step(st.buf, dl, s.Manifest.ChunkDuration, s.BufferMax)
 				nt := st.t + dl + wait
 
 				gain := qOf[a] - s.Weights.Mu*rebuffer
