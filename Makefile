@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-alloc lint-fixtures fuzz verify bench-solver bench-svc bench-obs trace-demo fleet-demo svc-demo
+.PHONY: build test race vet lint lint-alloc lint-fixtures fuzz verify bench-solver bench-svc bench-obs bench-fleet trace-demo fleet-demo svc-demo
 
 build:
 	$(GO) build ./...
@@ -74,6 +74,12 @@ bench-svc:
 # writes BENCH_obs.json, and fails if the disabled recorder costs 2% or more.
 bench-obs:
 	MPCDASH_WRITE_BENCH=1 $(GO) test -run TestObsOverheadBudget -count=1 -v .
+
+# bench-fleet plays cmd/fleet's built-in 10k-session demo scenario on the
+# sim backend five times and writes BENCH_fleet.json (sessions/s median and
+# range, host, Go version, GOMAXPROCS, commit).
+bench-fleet:
+	MPCDASH_WRITE_BENCH=1 $(GO) test -run TestFleetPerformance -count=1 -v .
 
 # trace-demo plays the loopback emulation and writes a Chrome trace-event
 # timeline; open trace_demo.json in chrome://tracing or ui.perfetto.dev.

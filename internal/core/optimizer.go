@@ -119,47 +119,47 @@ func (o *Optimizer) PlanScratch(s *Scratch, k int, buffer float64, prev int, for
 		prev = levels - 1
 	}
 	s.grow(steps, levels)
+	o.ladderTables(s, steps, levels)
 
 	// Per-solve tables, shared by every search of this solve (one, or the
-	// whole startup Ts grid): the per-level quality, the switching penalty
-	// λ·|q_lvl − q_p| of every level pair, and the download time of every
-	// (depth, level) pair. The DFS visits O(levels^steps) nodes, each of
-	// which would otherwise pay a bounds-checked ChunkSize call, a division
-	// and the quality and penalty arithmetic.
-	lambda := o.Weights.Lambda
-	qMax := math.Inf(-1)
-	for lvl := 0; lvl < levels; lvl++ {
-		s.qual[lvl] = o.Quality(o.Manifest.Ladder[lvl])
-		qMax = math.Max(qMax, s.qual[lvl])
-	}
-	for p := 0; p < levels; p++ {
-		for lvl := 0; lvl < levels; lvl++ {
-			s.pen[p*levels+lvl] = lambda * math.Abs(s.qual[lvl]-s.qual[p])
-		}
-	}
-
-	// Pad or truncate the forecast to exactly steps entries, extending with
-	// the final value and flooring at minRate.
+	// whole startup Ts grid). The forecast is padded or truncated to
+	// exactly steps entries, extending with the final value and flooring
+	// at minRate; dl holds the download time of every (depth, level) pair,
+	// so a DFS node does a table read instead of a bounds-checked ChunkSize
+	// call and a division.
 	last := minRate
 	for d := 0; d < steps; d++ {
 		if d < len(forecast) && forecast[d] > 0 {
 			last = forecast[d]
 		}
 		s.rates[d] = math.Max(last, minRate)
+		lo := math.Inf(1)
 		for lvl := 0; lvl < levels; lvl++ {
-			s.dl[d*levels+lvl] = o.Manifest.ChunkSize(k+d, lvl) / s.rates[d]
+			v := o.Manifest.ChunkSize(k+d, lvl) / s.rates[d]
+			s.dl[d*levels+lvl] = v
+			lo = math.Min(lo, v)
 		}
+		s.dlMin[d] = lo
 	}
-
-	// optimistic[d] bounds the QoE attainable from depth d onward,
-	// including the terminal buffer reward (at most the buffer cap).
-	s.optimistic[steps] = o.TerminalBufferWeight * o.BufferMax
+	// noStall[d] is the buffer from which the continuation that downloads
+	// dlMin at every depth from d on never stalls: enough for this depth's
+	// download, and enough left over (capped at B_max) for the rest.
+	s.noStall[steps] = math.Inf(-1)
 	for d := steps - 1; d >= 0; d-- {
-		s.optimistic[d] = s.optimistic[d+1] + qMax
+		need := math.Inf(1)
+		if s.noStall[d+1] <= o.BufferMax {
+			need = math.Max(s.dlMin[d], s.noStall[d+1]+s.dlMin[d]-o.Manifest.ChunkDuration)
+		}
+		s.noStall[d] = need
 	}
 
+	prune := !o.DisablePruning
 	if !startup {
-		lvl, q := o.search(s, buffer, prev, steps, levels)
+		seed := math.Inf(-1)
+		if prune {
+			seed = o.seedIncumbent(s, buffer, prev, steps, levels)
+		}
+		lvl, q, _ := o.search(s, buffer, prev, steps, levels, seed)
 		return lvl, 0, q
 	}
 
@@ -178,7 +178,20 @@ func (o *Optimizer) PlanScratch(s *Scratch, k int, buffer float64, prev int, for
 	n := int((max + 1e-9) / step)
 	for i := 0; i <= n; i++ {
 		t := float64(i) * step
-		lvl, q := o.search(s, t, prev, steps, levels)
+		seed := math.Inf(-1)
+		switch {
+		case prune && i == 0:
+			seed = o.seedIncumbent(s, t, prev, steps, levels)
+		case prune:
+			// t > bestTs for every i > 0, so the tie rule below reduces to
+			// q > bestQoE − 1e-6: a point whose horizon value does not beat
+			// that floor plus µs·t cannot win, and its search starts there.
+			seed = justBelow(bestQoE - 1e-6 + o.Weights.MuS*t)
+		}
+		lvl, q, found := o.search(s, t, prev, steps, levels, seed)
+		if !found {
+			continue
+		}
 		q -= o.Weights.MuS * t
 		// With µ = µs, trading startup delay for first-chunk stall is QoE
 		// neutral; among (near-)ties prefer the larger Ts, i.e. start
@@ -190,76 +203,146 @@ func (o *Optimizer) PlanScratch(s *Scratch, k int, buffer float64, prev int, for
 	return bestLevel, bestTs, bestQoE
 }
 
-// search exhaustively maximizes the horizon QoE by depth-first enumeration
-// with branch-and-bound: a partial plan is abandoned when even rebuffer-free
-// maximum-quality completion cannot beat the incumbent. Ties break toward
-// the lower level because ascending iteration only replaces on strict
-// improvement. The traversal is iterative over the Scratch's explicit
-// stacks — same visit order as the recursive formulation, node for node,
-// without the closure and call-frame allocations.
-//
-// With pruning on, the incumbent starts just below the best constant-level
-// plan (seedIncumbent), so the bound cuts from the first leaf on. The
-// result is unchanged: that plan is a real leaf whose value beats the seed,
-// so the optimum, and the first plan in DFS order that attains it, are the
-// same as with an empty incumbent.
+// ladderTables fills the tables that depend only on the optimizer's ladder
+// and weights, not on the forecast or k: the per-level quality, the
+// switching penalty λ·|q_lvl − q_p| of every level pair (row p = −1, no
+// previous level, is zero), and ub[d][p], the stall-free bound on the QoE
+// attainable from depth d after level p, terminal reward of at most
+// w·B_max included. A Scratch keeps them across solves and rebuilds them
+// only when the value key (steps, levels, λ, w·B_max and every quality
+// entry) changes, so one Scratch may serve any number of optimizers.
 //
 //mpc:noalloc
-func (o *Optimizer) search(s *Scratch, buffer float64, prev int, steps, levels int) (int, float64) {
+func (o *Optimizer) ladderTables(s *Scratch, steps, levels int) {
+	term := o.TerminalBufferWeight * o.BufferMax
+	key := ladderKey{steps: steps, levels: levels, lambda: math.Float64bits(o.Weights.Lambda), term: math.Float64bits(term)}
+	same := key == s.key
+	for lvl := 0; lvl < levels; lvl++ {
+		if q := o.Quality(o.Manifest.Ladder[lvl]); math.Float64bits(q) != math.Float64bits(s.qual[lvl]) {
+			s.qual[lvl] = q
+			same = false
+		}
+	}
+	if same {
+		return
+	}
+	s.key = key
+	for lvl := 0; lvl < levels; lvl++ {
+		s.pen[lvl] = 0
+	}
+	for p := 0; p < levels; p++ {
+		for lvl := 0; lvl < levels; lvl++ {
+			s.pen[(p+1)*levels+lvl] = o.Weights.Lambda * math.Abs(s.qual[lvl]-s.qual[p])
+		}
+	}
+	stride := levels + 1
+	for p := 0; p < stride; p++ {
+		s.ub[steps*stride+p] = term
+	}
+	for d := steps - 1; d >= 0; d-- {
+		row, below := s.ub[d*stride:(d+1)*stride], s.ub[(d+1)*stride:(d+2)*stride]
+		for p := -1; p < levels; p++ {
+			best := math.Inf(-1)
+			for lvl := 0; lvl < levels; lvl++ {
+				v := s.qual[lvl] + below[lvl+1] - s.pen[(p+1)*levels+lvl]
+				best = math.Max(best, v)
+			}
+			row[p+1] = best
+		}
+	}
+}
+
+// search maximizes the horizon QoE by depth-first enumeration with
+// branch-and-bound, starting from the incumbent value seed (−∞ for none).
+// It returns the first level of the first plan in DFS order that attains
+// the maximum, that maximum, and whether it beat seed; when it did not, the
+// level and value say nothing about the plans. Ties break toward the lower
+// level because ascending iteration only replaces on strict improvement.
+// The traversal is iterative over the Scratch's explicit stacks, and the
+// last depth is scored in one ascending pass over the levels rather than a
+// stack frame per leaf.
+//
+// A node at depth d is cut when acc + ub[d][prev] − µ·R ≤ cut, where R is
+// the stall of the continuation that downloads dlMin at every remaining
+// depth. Eq. 3/4 stall less from a fuller buffer and a shorter download,
+// and leave a fuller buffer, so no completion stalls less than that one.
+// R is summed only while the buffer is below noStall, which can only
+// weaken the cut. cut sits 1e-9·(|best|+1) below the incumbent, and any
+// seed below the maximum leaves the answer unchanged (DESIGN.md §4f).
+//
+//mpc:noalloc
+func (o *Optimizer) search(s *Scratch, buffer float64, prev int, steps, levels int, seed float64) (int, float64, bool) {
 	chunkDur := o.Manifest.ChunkDuration
 	bufMax := o.BufferMax
 	mu := o.Weights.Mu
+	w := o.TerminalBufferWeight
 	prune := !o.DisablePruning
-	qual, pen, dlTab, optimistic := s.qual, s.pen, s.dl, s.optimistic
+	qual, pen, dlTab, dlMin, noStall, ub := s.qual, s.pen, s.dl, s.dlMin, s.noStall, s.ub
 	buf, acc, prv, choice, next := s.buf, s.acc, s.prv, s.choice, s.next
+	stride := levels + 1
+	leaf := steps - 1
 
-	bestFirst, bestQoE := 0, math.Inf(-1)
-	if prune {
-		bestQoE = o.seedIncumbent(s, buffer, prev, steps, levels)
-	}
-	buf[0], acc[0], prv[0] = buffer, 0, prev
-	next[0] = 0
-	d := 0
-	for d >= 0 {
-		if d == steps {
-			total := acc[d] + o.TerminalBufferWeight*buf[d]
-			if total > bestQoE {
-				bestQoE = total
-				bestFirst = choice[0]
+	bestFirst, bestQoE, found := 0, seed, false
+	cut := justBelow(bestQoE)
+	// Enter the root, then each child in DFS order: cut it, score its
+	// leaves if it is at the last depth, or push it. (b, a, p) is the
+	// entered node's buffer, accumulated QoE and previous level.
+	d, c, b, a, p := -1, 0, buffer, 0.0, prev
+	for {
+		bound := math.Inf(1)
+		if prune {
+			stall, bb := 0.0, b
+			for dd := c; dd < steps && bb < noStall[dd]; dd++ {
+				var rebuffer float64
+				rebuffer, bb, _ = model.Step(bb, dlMin[dd], chunkDur, bufMax)
+				stall += rebuffer
 			}
-			d--
-			continue
+			bound = a + ub[c*stride+p+1] - mu*stall
 		}
-		if next[d] == 0 && prune && acc[d]+optimistic[d] <= bestQoE {
-			d-- // even a perfect completion cannot win
-			continue
+		switch {
+		case bound <= cut:
+			// Even the best completion cannot win.
+		case c == leaf:
+			for lvl := 0; lvl < levels; lvl++ {
+				rebuffer, nb, _ := model.Step(b, dlTab[c*levels+lvl], chunkDur, bufMax)
+				gain := qual[lvl] - mu*rebuffer - pen[(p+1)*levels+lvl]
+				if total := (a + gain) + w*nb; total > bestQoE {
+					choice[c] = lvl
+					bestFirst, bestQoE, found = choice[0], total, true
+					cut = justBelow(bestQoE)
+				}
+			}
+		default:
+			buf[c], acc[c], prv[c], next[c] = b, a, p, 0
+			d = c
+		}
+
+		for d >= 0 && next[d] == levels {
+			d-- // all levels tried at this depth
+		}
+		if d < 0 {
+			break
 		}
 		lvl := next[d]
-		if lvl == levels {
-			d-- // all levels tried at this depth
-			continue
-		}
 		next[d] = lvl + 1
-
 		rebuffer, nb, _ := model.Step(buf[d], dlTab[d*levels+lvl], chunkDur, bufMax)
-		gain := qual[lvl] - mu*rebuffer
-		if p := prv[d]; p >= 0 {
-			gain -= pen[p*levels+lvl]
-		}
+		gain := qual[lvl] - mu*rebuffer - pen[(prv[d]+1)*levels+lvl]
 		choice[d] = lvl
-		buf[d+1] = nb
-		acc[d+1] = acc[d] + gain
-		prv[d+1] = lvl
-		next[d+1] = 0
-		d++
+		c, b, a, p = d+1, nb, acc[d]+gain, lvl
 	}
-	return bestFirst, bestQoE
+	return bestFirst, bestQoE, found
+}
+
+// justBelow returns v lowered by the relative margin 1e-9·(|v|+1), which
+// exceeds the float rounding by which a bound and a leaf value summed along
+// different paths can disagree.
+func justBelow(v float64) float64 {
+	return v - 1e-9*(math.Abs(v)+1)
 }
 
 // seedIncumbent scores the levels constant-level plans with the search's
-// own arithmetic and returns a value just below the best of them. The
-// margin, 1e-9·(|v|+1), keeps float rounding in the optimistic bound
-// acc+optimistic[d] from cutting the prefix of a plan whose value equals v.
+// own arithmetic and returns a value just below the best of them, which
+// that plan's leaf then beats.
 //
 //mpc:noalloc
 func (o *Optimizer) seedIncumbent(s *Scratch, buffer float64, prev int, steps, levels int) float64 {
@@ -271,15 +354,12 @@ func (o *Optimizer) seedIncumbent(s *Scratch, buffer float64, prev int, steps, l
 		b, acc, p := buffer, 0.0, prev
 		for d := 0; d < steps; d++ {
 			rebuffer, nb, _ := model.Step(b, s.dl[d*levels+lvl], chunkDur, bufMax)
-			gain := s.qual[lvl] - mu*rebuffer
-			if p >= 0 {
-				gain -= s.pen[p*levels+lvl]
-			}
+			gain := s.qual[lvl] - mu*rebuffer - s.pen[(p+1)*levels+lvl]
 			b, acc, p = nb, acc+gain, lvl
 		}
 		if total := acc + o.TerminalBufferWeight*b; total > best {
 			best = total
 		}
 	}
-	return best - 1e-9*(math.Abs(best)+1)
+	return justBelow(best)
 }

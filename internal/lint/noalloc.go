@@ -15,11 +15,11 @@ import (
 const noAllocMarker = "mpc:noalloc"
 
 // NoAlloc enforces the //mpc:noalloc contract on the solver/lookup hot
-// paths (core.Optimizer.Plan/PlanScratch/search/seedIncumbent, the Eq. 3/4
-// buffer step model.Step that search inlines, the fastmpc bin mappers and
-// table lookups, the abrsvc decide lookup path). Inside an annotated
-// function it flags the constructs that force heap allocation or defeat
-// escape analysis:
+// paths (core.Optimizer.Plan/PlanScratch/search/seedIncumbent/ladderTables,
+// the Eq. 3/4 buffer step model.Step that search inlines, the fastmpc bin
+// mappers and table lookups, the abrsvc decide lookup path). Inside an
+// annotated function it flags the constructs that force heap allocation or
+// defeat escape analysis:
 //
 //   - make/new builtins and append
 //   - slice/map composite literals and &composite (escaping candidates)

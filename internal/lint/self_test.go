@@ -82,6 +82,7 @@ func TestNoAllocInventoryCovers(t *testing.T) {
 		"core.(*Optimizer).PlanScratch",
 		"core.(*Optimizer).search",
 		"core.(*Optimizer).seedIncumbent",
+		"core.(*Optimizer).ladderTables",
 		"model.Step",
 		"fastmpc.(BinSpec).BufferBin",
 		"fastmpc.(BinSpec).RateBin",

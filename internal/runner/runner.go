@@ -349,27 +349,3 @@ func Select(outs []Outcome, f func(Outcome) float64) []float64 {
 	}
 	return xs
 }
-
-// Transport aggregates the transport-health counters of a set of sessions
-// (always zero for simulator sessions; populated by the emulated HTTP
-// client's download engine).
-type Transport struct {
-	Retries   int // extra download attempts across all sessions
-	Resumes   int // Range-resumed transfers
-	Fallbacks int // chunks served via lowest-level fallback
-	Sessions  int // sessions that needed any recovery at all
-}
-
-// TransportHealth sums the recovery counters over outcomes.
-func TransportHealth(outs []Outcome) Transport {
-	var t Transport
-	for _, o := range outs {
-		t.Retries += o.Metrics.Retries
-		t.Resumes += o.Metrics.Resumes
-		t.Fallbacks += o.Metrics.Fallbacks
-		if o.Metrics.Retries > 0 || o.Metrics.Fallbacks > 0 {
-			t.Sessions++
-		}
-	}
-	return t
-}
