@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-alloc lint-fixtures fuzz verify bench-solver bench-svc bench-obs bench-fleet trace-demo fleet-demo svc-demo
+.PHONY: build test race vet lint lint-alloc lint-fixtures fuzz verify bench-solver bench-svc bench-obs bench-fleet bench-sim trace-demo fleet-demo svc-demo
 
 build:
 	$(GO) build ./...
@@ -80,6 +80,13 @@ bench-obs:
 # range, host, Go version, GOMAXPROCS, commit).
 bench-fleet:
 	MPCDASH_WRITE_BENCH=1 $(GO) test -run TestFleetPerformance -count=1 -v .
+
+# bench-sim measures the simulator's per-chunk cost: sim.Run of FastMPC and
+# BB sessions over a seeded FCC+HSDPA pool, five runs, and writes
+# BENCH_sim.json (ns per chunk and allocations per session, median and
+# range), failing if a session's allocations grow with its length.
+bench-sim:
+	MPCDASH_WRITE_BENCH=1 $(GO) test -run TestSimPerformance -count=1 -v .
 
 # trace-demo plays the loopback emulation and writes a Chrome trace-event
 # timeline; open trace_demo.json in chrome://tracing or ui.perfetto.dev.

@@ -231,9 +231,9 @@ func (s *Service) handleDecide(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Fairness && ss.group != "" {
 		share = s.groups.observe(ss.group, ss.id, lastSample(req.ThroughputSamples))
 	}
-	dt0 := time.Now()
+	sw := obs.StartStopwatch()
 	resp := ss.decide(&req, share)
-	decideDur := time.Since(dt0)
+	decideDur := sw.Elapsed()
 	ss.lastChunk = req.Chunk
 	ss.lastResp = resp
 	alg, seq := ss.algorithm(), ss.seq

@@ -137,7 +137,7 @@ func (c *Client) run(ctx context.Context, bind abr.Factory) (*model.SessionResul
 		if lb, ok := c.Predictor.(predictor.LowerBounder); ok {
 			lower = lb.LowerBound(c.Horizon)
 		}
-		decStart := time.Now()
+		sw := obs.StartStopwatch()
 		dec := ctrl.Decide(abr.State{
 			Chunk:    k,
 			Buffer:   buffer,
@@ -146,7 +146,7 @@ func (c *Client) run(ctx context.Context, bind abr.Factory) (*model.SessionResul
 			Forecast: forecast,
 			Lower:    lower,
 		})
-		solverWall := time.Since(decStart)
+		solverWall := sw.Elapsed()
 		level := man.Ladder.Clamp(dec.Level)
 
 		wallStart := time.Now()

@@ -17,9 +17,10 @@ const noAllocMarker = "mpc:noalloc"
 // NoAlloc enforces the //mpc:noalloc contract on the solver/lookup hot
 // paths (core.Optimizer.Plan/PlanScratch/search/seedIncumbent/ladderTables,
 // the Eq. 3/4 buffer step model.Step that search inlines, the fastmpc bin
-// mappers and table lookups, the abrsvc decide lookup path). Inside an
-// annotated function it flags the constructs that force heap allocation or
-// defeat escape analysis:
+// mappers and table lookups, the abrsvc decide lookup path, and the
+// simulator's per-chunk trace integration trace.Trace.DownloadTime with its
+// segmentAt search). Inside an annotated function it flags the constructs
+// that force heap allocation or defeat escape analysis:
 //
 //   - make/new builtins and append
 //   - slice/map composite literals and &composite (escaping candidates)

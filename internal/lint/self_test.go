@@ -93,6 +93,8 @@ func TestNoAllocInventoryCovers(t *testing.T) {
 		"fastmpc.(*CompressedTable).Lookup",
 		"abrsvc.(*store).shardFor",
 		"abrsvc.lastSample",
+		"trace.(*Trace).segmentAt",
+		"trace.(*Trace).DownloadTime",
 	}
 	for _, name := range want {
 		if !got[name] {

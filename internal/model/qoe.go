@@ -98,7 +98,8 @@ func (r *SessionResult) ComputeMetrics(q QualityFunc) Metrics {
 	if n == 0 {
 		return m
 	}
-	for i, c := range r.Chunks {
+	for i := range r.Chunks {
+		c := &r.Chunks[i]
 		m.AvgBitrate += c.Bitrate
 		m.AvgQuality += q(c.Bitrate)
 		m.RebufferTime += c.Rebuffer
@@ -111,7 +112,7 @@ func (r *SessionResult) ComputeMetrics(q QualityFunc) Metrics {
 			m.Fallbacks++
 		}
 		if i > 0 {
-			prev := r.Chunks[i-1]
+			prev := &r.Chunks[i-1]
 			m.AvgQualityChange += math.Abs(q(c.Bitrate) - q(prev.Bitrate))
 			m.AvgBitrateChange += math.Abs(c.Bitrate - prev.Bitrate)
 			if c.Level != prev.Level {
@@ -133,7 +134,8 @@ func (r *SessionResult) ComputeMetrics(q QualityFunc) Metrics {
 //	Σ q(R_k) − λ Σ |q(R_{k+1})−q(R_k)| − µ Σ rebuffer_k − µs·Ts
 func (r *SessionResult) QoE(w Weights, q QualityFunc) float64 {
 	var total float64
-	for i, c := range r.Chunks {
+	for i := range r.Chunks {
+		c := &r.Chunks[i]
 		total += q(c.Bitrate)
 		if i > 0 {
 			total -= w.Lambda * math.Abs(q(c.Bitrate)-q(r.Chunks[i-1].Bitrate))
@@ -150,7 +152,8 @@ func (r *SessionResult) QoE(w Weights, q QualityFunc) float64 {
 // Users perceive each interruption, not only their cumulative length.
 func (r *SessionResult) QoEEventCount(w Weights, q QualityFunc, perEvent float64) float64 {
 	var total float64
-	for i, c := range r.Chunks {
+	for i := range r.Chunks {
+		c := &r.Chunks[i]
 		total += q(c.Bitrate)
 		if i > 0 {
 			total -= w.Lambda * math.Abs(q(c.Bitrate)-q(r.Chunks[i-1].Bitrate))

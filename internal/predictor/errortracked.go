@@ -16,6 +16,7 @@ type ErrorTracked struct {
 	pending float64 // prediction issued for the chunk now downloading
 	primed  bool
 	errs    []float64 // recent |pred-actual|/actual
+	lower   []float64 // buffer returned by LowerBound
 }
 
 // NewErrorTracked wraps inner with error tracking over the last window
@@ -41,10 +42,7 @@ func (e *ErrorTracked) SetTime(sec float64) {
 // the realized throughput, then forwards the observation.
 func (e *ErrorTracked) Observe(kbps float64) {
 	if e.primed && kbps > 0 && e.pending > 0 {
-		e.errs = append(e.errs, math.Abs(e.pending-kbps)/kbps)
-		if len(e.errs) > e.Window {
-			e.errs = e.errs[len(e.errs)-e.Window:]
-		}
+		e.errs = slide(e.errs, e.Window, math.Abs(e.pending-kbps)/kbps)
 	}
 	e.primed = false
 	e.Inner.Observe(kbps)
@@ -73,12 +71,20 @@ func (e *ErrorTracked) MaxError() float64 {
 	return max
 }
 
-// LowerBound implements LowerBounder: Ĉ/(1+err) per horizon step.
+// LowerBound implements LowerBounder: Ĉ/(1+err) per horizon step. It
+// re-predicts the inner predictor and divides into a buffer of its own, so
+// the forecast Predict returned keeps its values: the inner predictors that
+// reuse a forecast buffer repeat the same forecast until their next
+// Observe.
 func (e *ErrorTracked) LowerBound(n int) []float64 {
 	p := e.Inner.Predict(n)
-	err := e.MaxError()
-	for i := range p {
-		p[i] /= 1 + err
+	if cap(e.lower) < len(p) {
+		e.lower = make([]float64, len(p))
 	}
-	return p
+	e.lower = e.lower[:len(p)]
+	err := e.MaxError()
+	for i, v := range p {
+		e.lower[i] = v / (1 + err)
+	}
+	return e.lower
 }

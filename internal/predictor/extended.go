@@ -28,10 +28,7 @@ func (a *AR1) Observe(kbps float64) {
 	if kbps <= 0 {
 		kbps = 1e-3
 	}
-	a.obs = append(a.obs, kbps)
-	if len(a.obs) > a.Window {
-		a.obs = a.obs[len(a.obs)-a.Window:]
-	}
+	a.obs = slide(a.obs, a.Window, kbps)
 }
 
 // fit returns the least-squares (a, b) of x_{t+1} = a·x_t + b over the
@@ -125,10 +122,7 @@ func (e *Ensemble) Observe(kbps float64) {
 	for i, m := range e.Members {
 		if e.pending != nil && len(e.pending[i]) > 0 && kbps > 0 && e.pending[i][0] > 0 {
 			err := math.Abs(e.pending[i][0]-kbps) / kbps
-			e.errs[i] = append(e.errs[i], err)
-			if len(e.errs[i]) > e.Window {
-				e.errs[i] = e.errs[i][len(e.errs[i])-e.Window:]
-			}
+			e.errs[i] = slide(e.errs[i], e.Window, err)
 		}
 		m.Observe(kbps)
 	}

@@ -8,6 +8,12 @@ package predictor
 // Predictor forecasts the throughput of upcoming chunk downloads.
 // Implementations are stateful per playback session and not safe for
 // concurrent use; the runner creates a fresh predictor per session.
+//
+// A slice returned by Predict or LowerBound belongs to the predictor and
+// stays valid until its next Predict or LowerBound call; callers copy what
+// they keep longer. A LowerBound call leaves the values of the forecast
+// just returned by Predict unchanged, so a caller may hold a forecast and
+// its lower bound together, as the simulator does for one decision.
 type Predictor interface {
 	// Name identifies the predictor in logs and experiment output.
 	Name() string
@@ -34,13 +40,34 @@ type TimeAware interface {
 	SetTime(sec float64)
 }
 
-// repeat returns v replicated n times.
-func repeat(v float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = v
+// fill returns buf resized to n with every entry v, reusing buf's array
+// when it is large enough: the forecast buffer a predictor owns.
+func fill(buf []float64, v float64, n int) []float64 {
+	if cap(buf) < n {
+		buf = make([]float64, n)
 	}
-	return out
+	buf = buf[:n]
+	for i := range buf {
+		buf[i] = v
+	}
+	return buf
+}
+
+// slide appends v to w, a window of at most n recent values in arrival
+// order, shifting the window in place once it is full so the array
+// allocated on first use is reused for the rest of the session.
+func slide(w []float64, n int, v float64) []float64 {
+	if n <= 0 {
+		return w[:0]
+	}
+	if len(w) < n {
+		if w == nil {
+			w = make([]float64, 0, n)
+		}
+		return append(w, v)
+	}
+	k := copy(w, w[len(w)-n+1:])
+	return append(w[:k], v)
 }
 
 // HarmonicMean predicts the harmonic mean of the last Window observed
@@ -49,6 +76,7 @@ func repeat(v float64, n int) []float64 {
 type HarmonicMean struct {
 	Window int
 	obs    []float64
+	fc     []float64 // forecast buffer returned by Predict
 }
 
 // NewHarmonicMean returns a harmonic-mean predictor over the last window
@@ -68,15 +96,13 @@ func (h *HarmonicMean) Observe(kbps float64) {
 	if kbps <= 0 {
 		kbps = 1e-3 // a failed download still counts as terrible throughput
 	}
-	h.obs = append(h.obs, kbps)
-	if len(h.obs) > h.Window {
-		h.obs = h.obs[len(h.obs)-h.Window:]
-	}
+	h.obs = slide(h.obs, h.Window, kbps)
 }
 
 // Predict implements Predictor.
 func (h *HarmonicMean) Predict(n int) []float64 {
-	return repeat(h.Current(), n)
+	h.fc = fill(h.fc, h.Current(), n)
+	return h.fc
 }
 
 // Current returns the scalar harmonic-mean estimate (0 if no observations).
@@ -92,7 +118,10 @@ func (h *HarmonicMean) Current() float64 {
 }
 
 // LastSample predicts the most recent observation; the naive baseline.
-type LastSample struct{ last float64 }
+type LastSample struct {
+	last float64
+	fc   []float64
+}
 
 // Name implements Predictor.
 func (l *LastSample) Name() string { return "last" }
@@ -101,7 +130,10 @@ func (l *LastSample) Name() string { return "last" }
 func (l *LastSample) Observe(kbps float64) { l.last = kbps }
 
 // Predict implements Predictor.
-func (l *LastSample) Predict(n int) []float64 { return repeat(l.last, n) }
+func (l *LastSample) Predict(n int) []float64 {
+	l.fc = fill(l.fc, l.last, n)
+	return l.fc
+}
 
 // EWMA predicts an exponentially weighted moving average with smoothing
 // factor Alpha in (0,1]; higher alpha weights recent samples more.
@@ -109,6 +141,7 @@ type EWMA struct {
 	Alpha float64
 	est   float64
 	seen  bool
+	fc    []float64
 }
 
 // NewEWMA returns an EWMA predictor; alpha outside (0,1] selects 0.4.
@@ -134,8 +167,6 @@ func (e *EWMA) Observe(kbps float64) {
 
 // Predict implements Predictor.
 func (e *EWMA) Predict(n int) []float64 {
-	if !e.seen {
-		return repeat(0, n)
-	}
-	return repeat(e.est, n)
+	e.fc = fill(e.fc, e.est, n) // est is 0 ("unknown") until the first Observe
+	return e.fc
 }

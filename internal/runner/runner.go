@@ -318,8 +318,8 @@ func meanThroughput(res *model.SessionResult) float64 {
 		return 0
 	}
 	var sum float64
-	for _, c := range res.Chunks {
-		sum += c.Throughput
+	for i := range res.Chunks {
+		sum += res.Chunks[i].Throughput
 	}
 	return sum / float64(len(res.Chunks))
 }
@@ -329,7 +329,8 @@ func meanThroughput(res *model.SessionResult) float64 {
 func sessionPredError(res *model.SessionResult) float64 {
 	var sum float64
 	var n int
-	for _, c := range res.Chunks {
+	for i := range res.Chunks {
+		c := &res.Chunks[i]
 		if c.Predicted > 0 && c.Throughput > 0 {
 			sum += math.Abs(c.Predicted-c.Throughput) / c.Throughput
 			n++

@@ -10,7 +10,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"mpcdash/internal/abr"
 	"mpcdash/internal/model"
@@ -106,9 +105,9 @@ func Run(m *model.Manifest, tr *trace.Trace, ctrl abr.Controller, pred predictor
 			Lower:    lower,
 			Startup:  k == 0 && cfg.Startup == StartupController,
 		}
-		decStart := time.Now() //lint:allow nodeterminism solver wall-time measurement for obs only; never feeds the decision
+		sw := obs.StartStopwatch()
 		dec := ctrl.Decide(st)
-		solverWall := time.Since(decStart) //lint:allow nodeterminism solver wall-time measurement for obs only; never feeds the decision
+		solverWall := sw.Elapsed()
 		level := m.Ladder.Clamp(dec.Level)
 
 		size := m.ChunkSize(k, level)

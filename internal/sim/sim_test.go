@@ -335,3 +335,29 @@ func TestRunAbandonOnRebuffer(t *testing.T) {
 		t.Fatalf("session ended with %v s of stalls, below the %v s threshold", cum, cfg.AbandonRebuffer)
 	}
 }
+
+// TestRunAllocsIndependentOfLength pins the per-chunk path at zero heap
+// allocations: with the buffer-based controller and the error-tracked
+// harmonic-mean predictor, a 65-chunk session allocates exactly as often
+// as a 10-chunk one (the session log is sized up front, the predictor
+// reuses its windows and forecast buffers, the trace integration and the
+// solver stopwatch allocate nothing).
+func TestRunAllocsIndependentOfLength(t *testing.T) {
+	m := model.EnvivioManifest()
+	tr := trace.GenHSDPA(7, m.Duration())
+	allocs := func(chunks int) float64 {
+		cfg := DefaultConfig()
+		cfg.MaxChunks = chunks
+		return testing.AllocsPerRun(20, func() {
+			pred := predictor.NewErrorTracked(predictor.NewHarmonicMean(5), 5)
+			if _, err := Run(m, tr, abr.NewBB(5, 10)(m), pred, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, full := allocs(10), allocs(m.ChunkCount)
+	if short != full {
+		t.Fatalf("allocations grow with session length: %v for 10 chunks, %v for %d", short, full, m.ChunkCount)
+	}
+	t.Logf("%v allocations per session", full)
+}

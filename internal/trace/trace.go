@@ -8,7 +8,6 @@ package trace
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Sample is one constant-rate segment of a trace.
@@ -80,9 +79,23 @@ func (t *Trace) wrap(sec float64) float64 {
 }
 
 // segmentAt returns the index of the segment containing the wrapped offset.
+// The binary search is hand-rolled, as in fastmpc's CompressedTable.at:
+// sort.SearchFloat64s calls a closure per probe, and DownloadTime runs this
+// once per simulated chunk.
+//
+//mpc:noalloc
 func (t *Trace) segmentAt(pos float64) int {
-	// First i with cumDur[i] > pos; the segment is i-1.
-	i := sort.SearchFloat64s(t.cumDur, pos)
+	// First i with cumDur[i] >= pos, stepped past an exact boundary hit;
+	// the segment is i-1.
+	i, hi := 0, len(t.cumDur)
+	for i < hi {
+		mid := int(uint(i+hi) >> 1)
+		if t.cumDur[mid] >= pos {
+			hi = mid
+		} else {
+			i = mid + 1
+		}
+	}
 	if i < len(t.cumDur) && t.cumDur[i] == pos { //lint:allow floateq exact boundary hit after binary search on cumulative durations
 		i++
 	}
@@ -117,25 +130,39 @@ func (t *Trace) volumeTo(sec float64) float64 {
 // start takes, integrating the piecewise-constant rate exactly (Eq. 2 solved
 // for the finish time). Zero-rate segments are simply waited out. A transfer
 // that would never finish (all-zero trace) returns +Inf.
+//
+// It runs once per simulated chunk, so it finds the starting segment once,
+// and the finishing segment by one binary search forward from it.
+//
+//mpc:noalloc
 func (t *Trace) DownloadTime(start, kilobits float64) float64 {
 	if kilobits <= 0 {
 		return 0
 	}
-	perPass := t.cumKb[len(t.Samples)]
+	n := len(t.Samples)
+	perPass := t.cumKb[n]
 	if perPass <= 0 {
 		return math.Inf(1)
 	}
-	total := t.Duration()
+	total := t.cumDur[n]
 	pos := t.wrap(start)
 	var elapsed float64
 
-	// Capacity remaining in the current pass from pos.
-	i := t.segmentAt(pos)
-	passRest := perPass - t.cumKb[i] - (pos-t.cumDur[i])*t.Samples[i].Kbps
+	// Volume delivered this pass before pos, and capacity remaining in the
+	// pass from pos.
+	s := t.segmentAt(pos)
+	into := (pos - t.cumDur[s]) * t.Samples[s].Kbps
+	passRest := perPass - t.cumKb[s] - into
+	base := t.cumKb[s] + into
+	if pos >= total {
+		// wrap rounds a start just below a pass boundary up to exactly
+		// total, where the whole pass has been delivered.
+		base = perPass
+	}
 	if kilobits > passRest {
 		kilobits -= passRest
 		elapsed += total - pos
-		pos = 0
+		pos, s, base = 0, 0, 0
 		// Whole additional passes.
 		passes := math.Floor(kilobits / perPass)
 		if kilobits == passes*perPass { //lint:allow floateq exact pass-boundary landing; both sides derive from the same floor()
@@ -146,18 +173,30 @@ func (t *Trace) DownloadTime(start, kilobits float64) float64 {
 			kilobits -= passes * perPass
 		}
 	}
-	// Finish within the pass starting at pos. Binary search the cumulative
-	// volume for the finishing segment.
-	base := t.volumeTo(pos) // volume already delivered this pass before pos
+	// Finish within the pass starting at pos: the finishing segment ends
+	// at the first j with cumKb[j] >= target (n+1 if none). cumKb is
+	// non-decreasing, so search forward from s, then walk back over the
+	// zero-rate segments that share cumKb[s] when a vanishing transfer
+	// stops there.
 	target := base + kilobits
-	// First segment index j with cumKb[j] >= target.
-	j := sort.Search(len(t.cumKb), func(k int) bool { return t.cumKb[k] >= target })
+	j, hi := s, n+1
+	for j < hi {
+		mid := int(uint(j+hi) >> 1)
+		if t.cumKb[mid] >= target {
+			hi = mid
+		} else {
+			j = mid + 1
+		}
+	}
+	for j > 0 && t.cumKb[j-1] >= target {
+		j--
+	}
 	if j == 0 {
 		j = 1
 	}
 	seg := j - 1
-	if seg >= len(t.Samples) {
-		seg = len(t.Samples) - 1
+	if seg >= n {
+		seg = n - 1
 	}
 	rate := t.Samples[seg].Kbps
 	if rate <= 0 {
