@@ -26,8 +26,9 @@ lint-alloc:
 lint-fixtures:
 	$(GO) test ./internal/lint/... ./cmd/mpclint/...
 
-# fuzz smoke-runs every fuzz target (the binary table decoders and the
-# /v1 JSON decode paths) for FUZZTIME each, seeded from the committed
+# fuzz smoke-runs every fuzz target (the binary table decoders, the /v1
+# JSON decode paths, and the differential check of the /v1/decide codec
+# against encoding/json) for FUZZTIME each, seeded from the committed
 # corpora under testdata/fuzz.
 FUZZTIME ?= 10s
 fuzz:
@@ -36,6 +37,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheFile$$' -fuzztime $(FUZZTIME) ./internal/fastmpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionRequestJSON$$' -fuzztime $(FUZZTIME) ./internal/abrsvc/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecideRequestJSON$$' -fuzztime $(FUZZTIME) ./internal/abrsvc/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecideCodec$$' -fuzztime $(FUZZTIME) ./internal/abrsvc/
 
 test:
 	$(GO) test ./...
@@ -64,9 +66,12 @@ verify:
 bench-solver:
 	MPCDASH_WRITE_BENCH=1 $(GO) test -run TestSolverPerformance -count=1 -v .
 
-# bench-svc load-tests a self-hosted abrd decision service over loopback,
-# writes BENCH_svc.json (decisions/sec, server-side p99), and fails if the
-# 1 ms lookup-path p99 budget is blown.
+# bench-svc load-tests a self-hosted abrd decision service over loopback
+# five times and times the /v1/decide codec stage, writes BENCH_svc.json
+# (median and range of decisions/sec, server-side p99s and allocations per
+# decide; codec ns and allocations per round trip; host, Go version,
+# GOMAXPROCS, commit), and fails if any run blows the 1 ms lookup-path p99
+# or the 1,000 decisions/s floor.
 bench-svc:
 	MPCDASH_WRITE_BENCH=1 $(GO) test -run TestSvcPerformance -count=1 -v .
 

@@ -1,12 +1,14 @@
-// Decision-service benchmarks (the PR 7 budget): steady-state decide
-// throughput against a live abrd over loopback HTTP, and the lookup-path
-// decision latency distribution measured server-side. TestSvcPerformance
-// writes the numbers to BENCH_svc.json under `make bench-svc` and asserts
-// the hard budget: p99 of the lookup-path decision (predictor update +
-// table lookup, excluding HTTP) stays under a millisecond.
+// Decision-service benchmarks: steady-state decide throughput against a
+// live abrd over loopback HTTP, the lookup-path decision latency
+// distribution measured server-side, and the /v1/decide codec stage on
+// its own. TestSvcPerformance writes the numbers to BENCH_svc.json under
+// `make bench-svc` and asserts the hard budget: p99 of the lookup-path
+// decision (predictor update + table lookup, excluding HTTP) stays under
+// a millisecond, and every run decides at least 1,000 times a second.
 package mpcdash_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -64,10 +66,21 @@ func histQuantile(snap any, q float64) (float64, error) {
 	return bs[len(bs)-1].bound * 2, nil
 }
 
-// TestSvcPerformance load-tests a self-hosted decision service and, under
-// `make bench-svc`, writes BENCH_svc.json. Asserted: server-side
-// lookup-path decision p99 under 1 ms, and a sane end-to-end throughput
-// floor.
+// svcRuns is how many times TestSvcPerformance repeats the load; the
+// report gives the median and range.
+const svcRuns = 5
+
+// svcRun is one load run's measurements.
+type svcRun struct {
+	perSec, p99Decide, p99Request   float64
+	allocsPerDecide, bytesPerDecide float64
+	shed                            any
+}
+
+// TestSvcPerformance load-tests a self-hosted decision service svcRuns
+// times and times the decide codec stage, and under `make bench-svc`
+// writes BENCH_svc.json. Asserted on every run: server-side lookup-path
+// decision p99 under 1 ms, and a throughput floor of 1,000 decisions/s.
 func TestSvcPerformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark report; skipped in -short mode")
@@ -81,13 +94,73 @@ func TestSvcPerformance(t *testing.T) {
 		workers = 32
 	}
 	const decidesPerWorker = 2000
+	// One table registry across runs: the table is built once, before the
+	// first run's timed section.
+	tables := fastmpc.NewRegistry()
+	var perSec, p99Decide, p99Request, allocs, bytesPer []float64
+	var shed []any
+	for run := 0; run < svcRuns; run++ {
+		r := svcLoadRun(t, tables, workers, decidesPerWorker)
+		t.Logf("run %d: %.0f decisions/s, server-side p99 lookup path %.1f µs, request %.1f µs, %.1f allocs and %.0f B per decide",
+			run, r.perSec, r.p99Decide*1e6, r.p99Request*1e6, r.allocsPerDecide, r.bytesPerDecide)
+		if r.p99Decide > 1e-3 {
+			t.Errorf("run %d: lookup-path decision p99 = %.3f ms, budget is 1 ms", run, r.p99Decide*1e3)
+		}
+		if r.perSec < 1000 {
+			t.Errorf("run %d: throughput %.0f decisions/s, floor is 1000/s", run, r.perSec)
+		}
+		perSec = append(perSec, r.perSec)
+		p99Decide = append(p99Decide, r.p99Decide)
+		p99Request = append(p99Request, r.p99Request)
+		allocs = append(allocs, r.allocsPerDecide)
+		bytesPer = append(bytesPer, r.bytesPerDecide)
+		shed = append(shed, r.shed)
+	}
+	codecNs, jsonNs, codecAllocs, jsonAllocs := svcCodecStage(t)
+	t.Logf("codec per decide round trip: %.0f ns and %.0f allocs (encoding/json: %.0f ns, %.0f allocs)",
+		median(codecNs), codecAllocs, median(jsonNs), jsonAllocs)
 
+	report := benchMeta()
+	for k, v := range map[string]any{
+		"benchmark":                         "loopback abrd, Envivio config, one session per worker; the codec stage is the four encodes and decodes of one decide call, without HTTP (two of its allocations are the in-memory readers it decodes from, which the service path does not make)",
+		"command":                           "make bench-svc",
+		"runs":                              svcRuns,
+		"workers":                           workers,
+		"decides_per_worker":                decidesPerWorker,
+		"decisions_per_run":                 workers * decidesPerWorker,
+		"decisions_per_sec":                 spread(perSec),
+		"p99_decide_seconds":                spread(p99Decide),
+		"p99_request_seconds":               spread(p99Request),
+		"allocs_per_decide":                 spread(allocs),
+		"bytes_per_decide":                  spread(bytesPer),
+		"shed_total":                        shed,
+		"codec_ns_per_decide":               spread(codecNs),
+		"codec_allocs_per_decide":           codecAllocs,
+		"encoding_json_ns_per_decide":       spread(jsonNs),
+		"encoding_json_allocs_per_decide":   jsonAllocs,
+		"budget":                            "every run: p99_decide_seconds <= 0.001 && decisions_per_sec >= 1000",
+		"allocs_and_bytes_per_decide_scope": "whole process, client and server, over the timed section",
+	} {
+		report[k] = v
+	}
+	out, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeBenchReport(t, "BENCH_svc.json", out)
+}
+
+// svcLoadRun starts a service, registers one session per worker, warms
+// the transports and predictor windows, and times decidesPerWorker
+// decides per worker.
+func svcLoadRun(t *testing.T, tables *fastmpc.Registry, workers, decidesPerWorker int) svcRun {
+	t.Helper()
 	svc := abrsvc.New(abrsvc.Config{
 		MaxSessions: workers + 1,
 		MaxInFlight: workers,
 		QueueDepth:  4 * workers,
 		QueueWait:   time.Second,
-		Tables:      fastmpc.NewRegistry(),
+		Tables:      tables,
 	})
 	srv, err := svc.Start("127.0.0.1:0")
 	if err != nil {
@@ -135,7 +208,6 @@ func TestSvcPerformance(t *testing.T) {
 		return resp.Level, nil
 	}
 
-	// Warm up transports and predictor windows before the timed section.
 	for w := 0; w < workers; w++ {
 		prev := -1
 		for chunk := 0; chunk < 10; chunk++ {
@@ -147,6 +219,8 @@ func TestSvcPerformance(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
 	start := time.Now()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -165,49 +239,68 @@ func TestSvcPerformance(t *testing.T) {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
+	runtime.ReadMemStats(&m1)
 	for w, err := range errs {
 		if err != nil {
 			t.Fatalf("worker %d: %v", w, err)
 		}
 	}
 
-	total := workers * decidesPerWorker
-	perSec := float64(total) / elapsed.Seconds()
+	total := float64(workers * decidesPerWorker)
 	snap := svc.Registry().Snapshot()
-	p99Decide, err := histQuantile(snap[abrsvc.MetricDecideSeconds], 0.99)
-	if err != nil {
+	r := svcRun{
+		perSec:          total / elapsed.Seconds(),
+		allocsPerDecide: float64(m1.Mallocs-m0.Mallocs) / total,
+		bytesPerDecide:  float64(m1.TotalAlloc-m0.TotalAlloc) / total,
+		shed:            snap[abrsvc.MetricShedTotal],
+	}
+	if r.p99Decide, err = histQuantile(snap[abrsvc.MetricDecideSeconds], 0.99); err != nil {
 		t.Fatalf("decide histogram: %v", err)
 	}
-	p99Request, err := histQuantile(snap[abrsvc.MetricRequestSeconds], 0.99)
-	if err != nil {
+	if r.p99Request, err = histQuantile(snap[abrsvc.MetricRequestSeconds], 0.99); err != nil {
 		t.Fatalf("request histogram: %v", err)
 	}
+	return r
+}
 
-	t.Logf("%d decisions across %d workers in %.2fs: %.0f decisions/s", total, workers, elapsed.Seconds(), perSec)
-	t.Logf("server-side p99: lookup path %.1f µs, end-to-end request %.1f µs", p99Decide*1e6, p99Request*1e6)
-
-	if p99Decide > 1e-3 {
-		t.Errorf("lookup-path decision p99 = %.3f ms, budget is 1 ms", p99Decide*1e3)
+// svcCodecStage times the codec work of one decide round trip, both ends
+// (abrsvc.DecideCodecRoundTrip), against the same four steps done with
+// encoding/json, svcRuns times each, and counts the allocations of each.
+func svcCodecStage(t *testing.T) (codecNs, jsonNs []float64, codecAllocs, jsonAllocs float64) {
+	req := abrsvc.DecideRequest{Session: "s00000042", Chunk: 31, Buffer: 17.5, PrevLevel: 3, ThroughputSamples: []float64{2432.125}}
+	resp := abrsvc.DecideResponse{Session: "s00000042", Chunk: 31, Level: 3, BitrateKbps: 1850, PredictedKbps: 2103.5, LowerKbps: 1702.25}
+	codec := func() {
+		if err := abrsvc.DecideCodecRoundTrip(&req, &resp); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if perSec < 1000 {
-		t.Errorf("throughput %.0f decisions/s, floor is 1000/s", perSec)
+	reference := func() {
+		var r1 abrsvc.DecideRequest
+		var r2 abrsvc.DecideResponse
+		a, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec := json.NewDecoder(bytes.NewReader(a))
+		dec.DisallowUnknownFields()
+		var buf bytes.Buffer
+		if err := dec.Decode(&r1); err != nil || json.NewEncoder(&buf).Encode(resp) != nil ||
+			json.NewDecoder(&buf).Decode(&r2) != nil || r2.Level != resp.Level {
+			t.Fatalf("encoding/json round trip failed: %v", err)
+		}
 	}
-
-	report, err := json.MarshalIndent(map[string]any{
-		"benchmark":           "loopback abrd, Envivio config, one session per worker",
-		"workers":             workers,
-		"decisions":           total,
-		"decisions_per_sec":   perSec,
-		"p99_decide_seconds":  p99Decide,
-		"p99_request_seconds": p99Request,
-		"decide_count":        snap[abrsvc.MetricDecisionsTotal],
-		"shed_total":          snap[abrsvc.MetricShedTotal],
-		"elapsed_seconds":     elapsed.Seconds(),
-		"decides_per_worker":  decidesPerWorker,
-		"budget":              "p99_decide_seconds <= 0.001 && decisions_per_sec >= 1000",
-	}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
+	const n = 20000
+	for run := 0; run < svcRuns; run++ {
+		for _, c := range []struct {
+			f   func()
+			out *[]float64
+		}{{codec, &codecNs}, {reference, &jsonNs}} {
+			start := time.Now()
+			for i := 0; i < n; i++ {
+				c.f()
+			}
+			*c.out = append(*c.out, float64(time.Since(start).Nanoseconds())/n)
+		}
 	}
-	writeBenchReport(t, "BENCH_svc.json", report)
+	return codecNs, jsonNs, testing.AllocsPerRun(1000, codec), testing.AllocsPerRun(1000, reference)
 }

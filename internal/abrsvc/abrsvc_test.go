@@ -136,6 +136,38 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestDeleteEscapesSessionID deletes sessions whose IDs hold the URL's
+// reserved characters. Registration accepts any ID, so Delete must escape
+// it: unescaped, "a/b" meets the mux's 404, "a?b" and "a#b" lose their
+// tail, and "a%2Fb" deletes the other session, "a/b".
+func TestDeleteEscapesSessionID(t *testing.T) {
+	svc, c := startTestService(t, Config{})
+	ctx := context.Background()
+	ids := []string{"a%2Fb", "a/b", "a?b", "a#b", "a", "a b", "a%", "%2e%2e"}
+	for _, id := range ids {
+		if _, err := c.Register(ctx, SessionRequest{ID: id}); err != nil {
+			t.Fatalf("register %q: %v", id, err)
+		}
+	}
+	for i, id := range ids {
+		before := svc.Sessions()
+		if err := c.Delete(ctx, id); err != nil {
+			t.Fatalf("delete %q: %v", id, err)
+		}
+		if after := svc.Sessions(); after != before-1 {
+			t.Fatalf("delete %q: resident sessions %d -> %d, want one fewer", id, before, after)
+		}
+		if _, ok := svc.store.get(id); ok {
+			t.Fatalf("delete %q removed another session", id)
+		}
+		for _, rest := range ids[i+1:] {
+			if _, ok := svc.store.get(rest); !ok {
+				t.Fatalf("delete %q removed %q", id, rest)
+			}
+		}
+	}
+}
+
 func TestTableSharedAcrossSessions(t *testing.T) {
 	tables := fastmpc.NewRegistry()
 	_, c := startTestService(t, Config{Tables: tables})

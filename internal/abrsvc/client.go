@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -36,6 +37,12 @@ func (e *APIError) IsShed() bool { return e.Status == http.StatusTooManyRequests
 type Client struct {
 	base string
 	http *http.Client
+
+	// decideURL is the parsed /v1/decide URL, shared read-only by every
+	// decide request; nil when base does not parse, in which case Decide
+	// takes post and reports the parse error.
+	decideURL  *url.URL
+	decideHost string
 }
 
 // NewClient returns a client for the service at base (e.g.
@@ -45,7 +52,7 @@ type Client struct {
 // default transport's two idle conns per host would force a fresh TCP
 // handshake under nearly every decide call.
 func NewClient(base string) *Client {
-	return &Client{
+	c := &Client{
 		base: strings.TrimRight(base, "/"),
 		http: &http.Client{
 			Timeout: 30 * time.Second,
@@ -56,6 +63,10 @@ func NewClient(base string) *Client {
 			},
 		},
 	}
+	if t, err := http.NewRequest(http.MethodPost, c.base+"/v1/decide", nil); err == nil {
+		c.decideURL, c.decideHost = t.URL, t.Host
+	}
+	return c
 }
 
 // CloseIdle releases the client's pooled connections.
@@ -71,9 +82,47 @@ func (c *Client) Register(ctx context.Context, req SessionRequest) (SessionRespo
 // Decide requests the next chunk's level. A 429 comes back as an
 // *APIError with IsShed() true; use DecideRetry when the caller wants the
 // backoff protocol handled.
+//
+// The request and response go through the decide codec (codec.go). A nil
+// ctx and a base URL that does not parse take post, which reports them as
+// errors.
 func (c *Client) Decide(ctx context.Context, req DecideRequest) (DecideResponse, error) {
 	var resp DecideResponse
-	err := c.post(ctx, "/v1/decide", req, &resp)
+	if ctx == nil || c.decideURL == nil {
+		err := c.post(ctx, "/v1/decide", req, &resp)
+		return resp, err
+	}
+	body, err := encodeDecideRequest(&req)
+	if err != nil {
+		return resp, err
+	}
+	// The fields http.NewRequestWithContext sets for a bytes.Reader body,
+	// without parsing the URL again.
+	hreq := (&http.Request{
+		Method:        http.MethodPost,
+		URL:           c.decideURL,
+		Host:          c.decideHost,
+		Proto:         "HTTP/1.1",
+		ProtoMajor:    1,
+		ProtoMinor:    1,
+		Header:        http.Header{"Content-Type": {"application/json"}},
+		Body:          io.NopCloser(bytes.NewReader(body)),
+		ContentLength: int64(len(body)),
+		GetBody: func() (io.ReadCloser, error) {
+			return io.NopCloser(bytes.NewReader(body)), nil
+		},
+	}).WithContext(ctx)
+	hresp, err := c.http.Do(hreq)
+	if err != nil {
+		return resp, err
+	}
+	defer hresp.Body.Close()
+	if hresp.StatusCode != http.StatusOK {
+		return resp, apiError(hresp)
+	}
+	cb := getCodecBuf()
+	defer cb.put()
+	err = cb.readDecideResponse(hresp.Body, &resp)
 	return resp, err
 }
 
@@ -107,7 +156,7 @@ func (c *Client) DecideRetry(ctx context.Context, req DecideRequest, maxRetries 
 // Delete forgets a session. Deleting an unknown session is an *APIError
 // with Status 404.
 func (c *Client) Delete(ctx context.Context, session string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.base+"/v1/session/"+session, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.base+"/v1/session/"+url.PathEscape(session), nil)
 	if err != nil {
 		return err
 	}

@@ -100,9 +100,11 @@ func decideRequestSeeds() [][]byte {
 	}
 }
 
-// FuzzDecideRequestJSON drives the decide decode path and the controller
-// step behind it on arbitrary bodies: whatever JSON decodes, the decision
-// must stay inside the session's ladder and quote the matching bitrate.
+// FuzzDecideRequestJSON drives the decide decode path the handler runs
+// (the codec's scanner, or encoding/json for a body that is not
+// canonical) and the controller step behind it on arbitrary bodies:
+// whatever decodes, the decision must stay inside the session's ladder
+// and quote the matching bitrate.
 func FuzzDecideRequestJSON(f *testing.F) {
 	for _, s := range decideRequestSeeds() {
 		f.Add(s)
@@ -110,8 +112,10 @@ func FuzzDecideRequestJSON(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := httptest.NewRequest("POST", "/v1/decide", bytes.NewReader(data))
+		cb := getCodecBuf()
+		defer cb.put()
 		var req DecideRequest
-		if err := readJSON(r, &req); err != nil {
+		if err := cb.readDecideRequest(r.Body, &req); err != nil {
 			return
 		}
 		ss := fuzzSession(t)

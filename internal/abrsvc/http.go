@@ -193,8 +193,10 @@ func (s *Service) handleSession(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleDecide(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	s.cRequests["decide"].Inc()
+	cb := getCodecBuf()
+	defer cb.put()
 	var req DecideRequest
-	if err := readJSON(r, &req); err != nil {
+	if err := cb.readDecideRequest(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -223,7 +225,7 @@ func (s *Service) handleDecide(w http.ResponseWriter, r *http.Request) {
 		resp := ss.lastResp
 		resp.Replayed = true
 		ss.mu.Unlock()
-		writeJSON(w, http.StatusOK, resp)
+		writeDecideResponse(w, cb, &resp)
 		s.hRequest.Observe(time.Since(t0).Seconds())
 		return
 	}
@@ -256,7 +258,7 @@ func (s *Service) handleDecide(w http.ResponseWriter, r *http.Request) {
 			Actual:     lastSample(req.ThroughputSamples),
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeDecideResponse(w, cb, &resp)
 	s.hRequest.Observe(time.Since(t0).Seconds())
 }
 

@@ -82,13 +82,14 @@ func refDownloadTime(t *Trace, start, kilobits float64) float64 {
 }
 
 // randomReferenceTrace draws a trace mixing the shapes DownloadTime has to
-// get right: integral and non-representable durations, durations too small
-// to advance the cumulative total, zero-rate runs (including leading and
+// get right: integral and non-representable durations, durations of a
+// few ulps of the cumulative total (the shortest New accepts), zero-rate runs (including leading and
 // trailing ones) and a wide rate range.
 func randomReferenceTrace(t *testing.T, rng *rand.Rand) *Trace {
 	n := 1 + rng.Intn(40)
 	zeroShare := []float64{0, 0.2, 0.5, 0.9}[rng.Intn(4)]
 	samples := make([]Sample, n)
+	cum := 0.0
 	for i := range samples {
 		var d float64
 		switch rng.Intn(5) {
@@ -98,8 +99,8 @@ func randomReferenceTrace(t *testing.T, rng *rand.Rand) *Trace {
 			d = 5
 		case 2:
 			d = 0.1 * float64(1+rng.Intn(30))
-		case 3: // below an ulp of the running total: cumDur repeats a value
-			d = math.Ldexp(1+rng.Float64(), -60-rng.Intn(10))
+		case 3: // one to four ulps of the running total
+			d = float64(1+rng.Intn(4)) * (math.Nextafter(cum, math.Inf(1)) - cum)
 		default:
 			d = 0.001 + rng.Float64()*10
 		}
@@ -115,6 +116,7 @@ func randomReferenceTrace(t *testing.T, rng *rand.Rand) *Trace {
 			}
 		}
 		samples[i] = Sample{Duration: d, Kbps: r}
+		cum += d
 	}
 	tr, err := New("ref", samples)
 	if err != nil {
@@ -124,15 +126,15 @@ func randomReferenceTrace(t *testing.T, rng *rand.Rand) *Trace {
 }
 
 // TestDownloadTimeMatchesReference compares DownloadTime (and the starting
-// segment) with the verbatim three-search reference on a trace with a
-// repeated cumulative duration and on seeded random traces, bit for bit,
+// segment) with the verbatim three-search reference on a trace whose
+// cumulative durations differ by one ulp and on seeded random traces, bit for bit,
 // over starts on and off segment boundaries (negative, tiny negative and
 // multi-pass ones included) and sizes from 1e-9 kbit to several passes,
 // including transfers ending exactly on a segment or pass boundary.
 func TestDownloadTimeMatchesReference(t *testing.T) {
-	// The second sample is too short to advance the running total, so
-	// cumDur holds 1 twice.
-	tie, err := New("tie", []Sample{{1, 100}, {1e-17, 1e15}, {1, 200}})
+	// The second sample is one ulp of the running total long, the
+	// shortest New accepts: cumDur holds 1 and the next float after it.
+	tie, err := New("tie", []Sample{{1, 100}, {math.Nextafter(1, 2) - 1, 1e15}, {1, 200}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,6 +51,12 @@ func New(name string, samples []Sample) (*Trace, error) {
 		}
 		t.cumDur[i+1] = t.cumDur[i] + s.Duration
 		t.cumKb[i+1] = t.cumKb[i] + s.Duration*s.Kbps
+		// A sample shorter than an ulp of the running duration would
+		// leave two equal cumulative durations, and segmentAt could not
+		// tell the two segments apart.
+		if t.cumDur[i+1] <= t.cumDur[i] {
+			return nil, fmt.Errorf("trace %q: sample %d duration %v is too short to advance the trace's %v s", name, i, s.Duration, t.cumDur[i])
+		}
 	}
 	return t, nil
 }

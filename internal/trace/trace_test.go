@@ -32,6 +32,7 @@ func TestNewValidation(t *testing.T) {
 		{"inf rate", []Sample{{1, math.Inf(1)}}, true},
 		{"valid", []Sample{{1, 100}, {2, 200}}, false},
 		{"zero rate ok", []Sample{{1, 0}, {1, 100}}, false},
+		{"below an ulp of the running duration", []Sample{{1, 100}, {1e-17, 1e15}, {1, 200}}, true},
 	}
 	for _, c := range cases {
 		_, err := New(c.name, c.samples)
